@@ -63,7 +63,6 @@ from .heal import (
 )
 from .obs import MetricsRegistry, Tracer, get_registry, tracing
 from .replog import (
-    CatchUpDaemon,
     Checkpoint,
     LogicalState,
     ReplicationLog,
@@ -73,7 +72,6 @@ from .resilience import (
     BreakerConfig,
     ChaosPlan,
     CircuitBreaker,
-    FailoverRouter,
     FaultyQueryService,
     PartialResult,
     ReplicaGroup,
@@ -120,7 +118,6 @@ __all__ = [
     "BreakerConfig",
     "ChaosPlan",
     "CircuitBreaker",
-    "FailoverRouter",
     "FaultyQueryService",
     "PartialResult",
     "ReplicaGroup",
@@ -130,7 +127,6 @@ __all__ = [
     "RestoreReport",
     "Checkpoint",
     "LogicalState",
-    "CatchUpDaemon",
     "ReplicationLogError",
     "ReplicaDivergedError",
     "HealPolicy",

@@ -134,7 +134,6 @@ def run_heal_soak(
             dims,
             shards,
             replicas=2,
-            workers=0,
             partitioner="kd",
             replog_dir=tmp,
             registry=registry,

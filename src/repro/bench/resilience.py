@@ -71,7 +71,6 @@ def _write_amplification(cfg: BenchConfig, objects, replicas: int = 1) -> float:
         2,
         partitioner="kd",
         index_factory=_storage_factory(cfg),
-        workers=0,
         replicas=replicas,
         registry=MetricsRegistry(),
         label="bench-resilience-wamp",
@@ -99,7 +98,6 @@ def _failover_overhead(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         2,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=chaos_member_wrapper(ChaosPlan(seed=cfg.seed, raise_rate=0.3)),
@@ -130,7 +128,6 @@ def _breaker_containment(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         2,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=wrapper,
@@ -162,7 +159,6 @@ def _degraded_coverage(cfg: BenchConfig, objects, queries) -> float:
         cfg.dims,
         4,
         partitioner="kd",
-        workers=0,
         registry=MetricsRegistry(),
         service_wrapper=dead_wrapper,
         resilience=ResilienceConfig(

@@ -81,7 +81,6 @@ def shard_scaling_experiment(cfg: BenchConfig, verbose: bool = True) -> List[Row
             shards,
             partitioner="kd",
             index_factory=factory,
-            workers=0,
             registry=MetricsRegistry(),
             label=f"bench-s{shards}",
         ) as cluster:

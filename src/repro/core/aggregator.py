@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..obs import trace as _trace
 from ..storage import StorageContext, polynomial_value_bytes
 from .errors import DimensionMismatchError, InvalidQueryError, NotSupportedError
-from .geometry import Box
+from .geometry import Box, check_finite_object
 from .naive import NaiveDominanceSum
 from .polynomial import Polynomial
 from .reduction import (
@@ -183,8 +183,9 @@ class BoxSumIndex:
         return SumCount(float(value), 1.0)
 
     def insert(self, box: Box, value: float = 1.0) -> None:
-        """Add one weighted box object."""
+        """Add one weighted box object (ValueError on a non-finite weight or box)."""
         self._check(box)
+        check_finite_object(box, value)
         measured = self._measure_value(value)
         self.num_objects += 1
         if self._object_index is not None:
@@ -202,6 +203,7 @@ class BoxSumIndex:
         weight; the caller must pass the same box and value used at insert.
         """
         self._check(box)
+        check_finite_object(box, value)
         measured = self._measure_value(value)
         self.num_objects -= 1
         if self._object_index is not None:
@@ -214,8 +216,9 @@ class BoxSumIndex:
     def bulk_load(self, objects: Iterable[Tuple[Box, float]]) -> None:
         """Build from scratch out of ``(box, weight)`` pairs (bulk-loading backends)."""
         objects = list(objects)
-        for box, _value in objects:
+        for box, value in objects:
             self._check(box)
+            check_finite_object(box, value)
         self.num_objects = len(objects)
         if self._object_index is not None:
             self._object_index.bulk_load([(box, self._measure_value(v)) for box, v in objects])

@@ -18,6 +18,7 @@ boundaries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -232,3 +233,20 @@ def sign_parity(signs: Sequence[int]) -> int:
 def universe_box(dims: int, low: float = 0.0, high: float = 1.0) -> Box:
     """Convenience constructor for the cube ``[low, high]^dims``."""
     return Box((low,) * dims, (high,) * dims)
+
+
+def check_finite_object(box: Box, value: float) -> None:
+    """Raise :class:`ValueError` unless ``value`` and every coordinate are finite.
+
+    Mutations call this before touching any state.  A NaN or infinite
+    weight poisons every dominance sum that covers the object for good
+    (``inf - inf`` is NaN, so the matching delete cannot cancel it), and a
+    non-finite coordinate does the same through the extent bookkeeping.
+    """
+    isfinite = math.isfinite
+    if not isfinite(value):
+        raise ValueError(f"object weight must be finite, got {value!r}")
+    for corner in (box.low, box.high):
+        for c in corner:
+            if not isfinite(c):
+                raise ValueError(f"object coordinates must be finite, got {box!r}")

@@ -17,6 +17,7 @@ a text table (the human half of the same artifact).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -58,9 +59,19 @@ PERCENTILES: Tuple[Tuple[str, float], ...] = (
 
 
 class _Series:
-    """One (phase, op) cell: fixed buckets plus count/sum/max and outcomes."""
+    """One (phase, op) cell: fixed buckets plus count/sum/min/max and outcomes."""
 
-    __slots__ = ("buckets", "count", "sheds", "errors", "partials", "bounded", "sum_ms", "max_ms")
+    __slots__ = (
+        "buckets",
+        "count",
+        "sheds",
+        "errors",
+        "partials",
+        "bounded",
+        "sum_ms",
+        "min_ms",
+        "max_ms",
+    )
 
     def __init__(self) -> None:
         self.buckets = [0] * (len(LATENCY_BUCKETS_MS) + 1)
@@ -70,11 +81,13 @@ class _Series:
         self.partials = 0
         self.bounded = 0
         self.sum_ms = 0.0
+        self.min_ms = math.inf
         self.max_ms = 0.0
 
     def observe(self, latency_ms: float) -> None:
         self.count += 1
         self.sum_ms += latency_ms
+        self.min_ms = min(self.min_ms, latency_ms)
         self.max_ms = max(self.max_ms, latency_ms)
         for i, bound in enumerate(LATENCY_BUCKETS_MS):
             if latency_ms <= bound:
@@ -83,7 +96,13 @@ class _Series:
         self.buckets[-1] += 1
 
     def percentile(self, q: float) -> float:
-        return estimate_percentile(LATENCY_BUCKETS_MS, self.buckets, q)
+        return estimate_percentile(
+            LATENCY_BUCKETS_MS,
+            self.buckets,
+            q,
+            observed_min=self.min_ms,
+            observed_max=self.max_ms,
+        )
 
     def summary(self) -> Dict[str, float]:
         out: Dict[str, float] = {

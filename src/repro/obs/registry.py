@@ -118,7 +118,14 @@ class Gauge(Instrument):
         self._values[key] = self._values.get(key, 0.0) + amount
 
 
-def estimate_percentile(bounds: Sequence[float], counts: Sequence[int], q: float) -> float:
+def estimate_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    q: float,
+    *,
+    observed_min: Optional[float] = None,
+    observed_max: Optional[float] = None,
+) -> float:
     """Estimate the ``q``-th percentile from fixed-bucket histogram state.
 
     ``bounds`` are the sorted bucket upper bounds and ``counts`` the
@@ -133,7 +140,10 @@ def estimate_percentile(bounds: Sequence[float], counts: Sequence[int], q: float
     The estimate is exact whenever the true value sits on a bucket
     boundary and is otherwise off by at most the containing bucket's
     width — which is why latency buckets should be chosen to taper with
-    the SLO of interest.
+    the SLO of interest.  Interpolation alone can land outside the data
+    (a p99 above the largest observation); pass the series'
+    ``observed_min``/``observed_max`` and the estimate is clamped to them,
+    so a reported percentile never exceeds what was observed.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"percentile q must be in [0, 1], got {q}")
@@ -145,7 +155,16 @@ def estimate_percentile(bounds: Sequence[float], counts: Sequence[int], q: float
     total = sum(counts)
     if total <= 0:
         return 0.0
-    rank = q * total
+    estimate = _interpolate(bounds, counts, q * total)
+    if observed_max is not None:
+        estimate = min(estimate, float(observed_max))
+    if observed_min is not None:
+        estimate = max(estimate, float(observed_min))
+    return estimate
+
+
+def _interpolate(bounds: Sequence[float], counts: Sequence[int], rank: float) -> float:
+    """Linear interpolation of ``rank`` inside its bucket (see above)."""
     cumulative = 0.0
     for i, count in enumerate(counts):
         if count <= 0:
@@ -168,7 +187,7 @@ class Histogram(Instrument):
     """Bucketed distribution with sum and count, one series per label set."""
 
     kind = "histogram"
-    __slots__ = ("buckets", "_series")
+    __slots__ = ("buckets", "_series", "_extrema")
 
     def __init__(
         self,
@@ -183,16 +202,26 @@ class Histogram(Instrument):
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
         #: label key -> [per-bucket counts..., +inf count]
         self._series: Dict[_LabelKey, List[int]] = {}
+        #: label key -> [smallest, largest] observation (percentile clamp)
+        self._extrema: Dict[_LabelKey, List[float]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation into the matching bucket."""
         if not self._registry.enabled:
             return
         key = _label_key(labels)
+        value = float(value)
         series = self._series.get(key)
         if series is None:
             series = [0] * (len(self.buckets) + 1)
             self._series[key] = series
+            self._extrema[key] = [value, value]
+        else:
+            extrema = self._extrema[key]
+            if value < extrema[0]:
+                extrema[0] = value
+            elif value > extrema[1]:
+                extrema[1] = value
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 series[i] += 1
@@ -200,7 +229,7 @@ class Histogram(Instrument):
         else:
             series[-1] += 1
         # _values doubles as the running sum; count is derived from buckets.
-        self._values[key] = self._values.get(key, 0.0) + float(value)
+        self._values[key] = self._values.get(key, 0.0) + value
 
     def count(self, **labels: str) -> int:
         """Number of observations for one label set."""
@@ -218,13 +247,23 @@ class Histogram(Instrument):
         """Bucket-boundary estimate of the ``q``-th percentile (0 when empty).
 
         See :func:`estimate_percentile` for the interpolation contract; the
-        error is bounded by the width of the bucket containing the rank.
+        error is bounded by the width of the bucket containing the rank,
+        and the estimate is clamped to the series' observed min and max.
         """
-        return estimate_percentile(self.buckets, self.bucket_counts(**labels), q)
+        key = _label_key(labels)
+        low, high = self._extrema.get(key, (None, None))
+        return estimate_percentile(
+            self.buckets,
+            self.bucket_counts(**labels),
+            q,
+            observed_min=low,
+            observed_max=high,
+        )
 
     def clear(self) -> None:
         super().clear()
         self._series.clear()
+        self._extrema.clear()
 
     def samples(self) -> List[Sample]:
         out: List[Sample] = []

@@ -13,13 +13,17 @@ package layers:
 * :mod:`~repro.resilience.group` — :class:`ReplicaGroup`: synchronous
   mutation fan-out, breaker-gated failover with deadlines, backoff and
   hedged reads;
-* :mod:`~repro.resilience.router` — :class:`FailoverRouter`: the exact
-  scatter-gather router over groups;
 * :mod:`~repro.resilience.partial` — :class:`PartialResult`: opt-in
   graceful degradation with the outage as an explicit error bound;
 * :mod:`~repro.resilience.chaos` — deterministic fault injection
   (:class:`ChaosPlan` / :class:`FaultyQueryService`) driving
   :func:`repro.testing.check_failover`.
+
+A :class:`ReplicaGroup` duck-types the shard service surface
+(``resolve_probe_values``, ``batch``, ``index``), so
+:class:`~repro.shard.router.ShardRouter` scatters over groups unchanged;
+``ResilienceConfig.partial_results`` is passed as its ``allow_partial``
+merge mode.
 """
 
 from .breaker import CLOSED, FORCED_OPEN, HALF_OPEN, OPEN, CircuitBreaker
@@ -35,7 +39,6 @@ from .chaos import (
 from .config import BreakerConfig, ResilienceConfig
 from .group import ReplicaGroup
 from .partial import PartialResult
-from .router import FailoverRouter
 
 __all__ = [
     "BreakerConfig",
@@ -43,7 +46,6 @@ __all__ = [
     "ChaosPlan",
     "CLOSED",
     "CrashableService",
-    "FailoverRouter",
     "FaultyQueryService",
     "FORCED_OPEN",
     "HALF_OPEN",

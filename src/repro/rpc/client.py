@@ -49,7 +49,7 @@ from ..core.errors import (
     WireProtocolError,
     WorkerCrashedError,
 )
-from ..core.geometry import Box
+from ..core.geometry import Box, check_finite_object
 from ..obs import trace as _trace
 from ..obs.registry import MetricsRegistry, get_registry
 from ..replog.digest import StateDigest
@@ -393,6 +393,7 @@ class WorkerClient:
         return epoch
 
     def insert(self, box: Box, value: float = 1.0) -> int:
+        check_finite_object(box, value)
         return self._mutation(
             wire.REQ_INSERT,
             codec.encode_object(box, value),
@@ -401,6 +402,7 @@ class WorkerClient:
         )
 
     def delete(self, box: Box, value: float = 1.0) -> int:
+        check_finite_object(box, value)
         return self._mutation(
             wire.REQ_DELETE,
             codec.encode_object(box, value),
@@ -410,6 +412,8 @@ class WorkerClient:
 
     def bulk_load(self, objects) -> int:
         objects = [(box, float(value)) for box, value in objects]
+        for box, value in objects:
+            check_finite_object(box, value)
         return self._mutation(
             wire.REQ_BULK,
             codec.encode_objects(objects),

@@ -12,7 +12,7 @@ collisions constantly.
 :meth:`~repro.core.aggregator.BoxSumIndex.probe_plan`, dedupes identities
 across the whole batch (first-seen order, so execution order — and thus
 I/O accounting — is deterministic), resolves each unique probe exactly once
-(optionally through a probe cache and/or a worker pool), and reassembles
+(optionally through a probe cache) on the calling thread, and reassembles
 per-query answers by inclusion–exclusion.  Answers are bit-identical to
 direct ``box_sum`` calls: probes are pure functions of index state and the
 reassembly accumulates in the same order as the direct path.
@@ -107,14 +107,13 @@ class BatchPlanner:
         plan: BatchPlan,
         lookup: Optional[ProbeLookup] = None,
         store: Optional[ProbeStore] = None,
-        executor=None,
     ) -> BatchExecution:
         """Resolve the unique probes and reassemble every query's answer.
 
-        ``lookup``/``store`` bridge to the service's probe cache; ``executor``
-        (any object with ``map``, e.g. a ``ThreadPoolExecutor``) parallelizes
-        the cache-missing probes.  Probe values land in a dict keyed by
-        identity, so reassembly is independent of resolution order.
+        ``lookup``/``store`` bridge to the service's probe cache; the
+        cache-missing probes are resolved on the calling thread.  Probe
+        values land in a dict keyed by identity, so reassembly is
+        independent of resolution order.
         """
         values: Dict[ProbeIdentity, Value] = {}
         missing: List[ProbeIdentity] = []
@@ -129,15 +128,8 @@ class BatchPlanner:
             missing.append(identity)
 
         index = self.index
-
-        def run(identity: ProbeIdentity) -> Value:
-            return index.probe_value(identity[0], identity[1])
-
-        if executor is not None and len(missing) > 1:
-            resolved = list(executor.map(run, missing))
-        else:
-            resolved = [run(identity) for identity in missing]
-        for identity, value in zip(missing, resolved):
+        for identity in missing:
+            value = index.probe_value(identity[0], identity[1])
             values[identity] = value
             if store is not None:
                 store(identity, value)

@@ -13,8 +13,8 @@
   service epoch, logically invalidating all cached values in O(1); a stale
   entry is never served (see :mod:`repro.service.cache`);
 * **corner-sharing batch planning** — a batch's ``2^d``-probe plans are
-  deduped across queries and each unique probe runs once, sequentially or
-  on a thread pool (see :mod:`repro.service.planner`);
+  deduped across queries and each unique probe runs once, on the calling
+  thread (see :mod:`repro.service.planner`);
 * **observability** — request/probe/cache counters and batch-size plus
   queue-wait histograms in the :mod:`repro.obs` registry, and a
   ``service.batch`` span nesting the underlying ``dominance_sum`` spans
@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..approx.builder import ApproxTier
 from ..core.errors import NotSupportedError, ServiceClosedError, ServiceOverloadedError
-from ..core.geometry import Box
+from ..core.geometry import Box, check_finite_object
 from ..obs import trace as _trace
 from ..obs.registry import MetricsRegistry, get_registry
 from ..replog.digest import StateDigest
@@ -108,9 +108,6 @@ class QueryService:
     max_inflight / max_queue / queue_timeout:
         Admission control: concurrent executions, waiting slots, and an
         optional cap (seconds) on queue wait before shedding.
-    workers:
-        Size of the probe worker pool; 0 (default) resolves probes on the
-        calling thread.
     oplog:
         An optional :class:`~repro.replog.ReplicationLog`.  When attached,
         every admitted mutation appends one logical record *inside* the
@@ -137,7 +134,6 @@ class QueryService:
         max_inflight: int = 8,
         max_queue: int = 32,
         queue_timeout: Optional[float] = None,
-        workers: int = 0,
         registry: Optional[MetricsRegistry] = None,
         label: Optional[str] = None,
         oplog=None,
@@ -189,13 +185,6 @@ class QueryService:
         storage = getattr(index, "storage", None)
         if storage is not None:
             storage.make_thread_safe()
-        self._executor = None
-        if workers > 0:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-service"
-            )
         registry = registry if registry is not None else get_registry()
         if approx is not None and not isinstance(approx, ApproxTier):
             # Accept a bare policy as shorthand for a fresh single-slot tier.
@@ -390,7 +379,6 @@ class QueryService:
                     store=lambda identity, value: self._probes.put(
                         probe_key(identity), epoch, value
                     ),
-                    executor=self._executor,
                 )
                 fresh = execution.results
                 probes_planned = execution.probes_total
@@ -476,6 +464,7 @@ class QueryService:
 
     def insert(self, box: Box, value: float = 1.0) -> int:
         """Insert one object exclusively; returns the new epoch."""
+        check_finite_object(box, value)
         return self.mutate(
             lambda: self.index.insert(box, value),
             op="insert",
@@ -484,6 +473,7 @@ class QueryService:
 
     def delete(self, box: Box, value: float = 1.0) -> int:
         """Delete one object exclusively; returns the new epoch."""
+        check_finite_object(box, value)
         return self.mutate(
             lambda: self.index.delete(box, value),
             op="delete",
@@ -493,6 +483,8 @@ class QueryService:
     def bulk_load(self, objects) -> int:
         """Rebuild the index exclusively; returns the new epoch."""
         objects = list(objects)
+        for box, value in objects:
+            check_finite_object(box, value)
         return self.mutate(
             lambda: self.index.bulk_load(objects),
             op="bulk_load",
@@ -619,7 +611,7 @@ class QueryService:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Reject new work, drain accepted requests, release the worker pool.
+        """Reject new work, drain accepted requests, drop the caches.
 
         Close is *graceful*: requests the admission gate already accepted —
         executing or queued — run to completion and return real answers;
@@ -631,8 +623,6 @@ class QueryService:
         if not self._gate.close():
             return
         self._gate.drain()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         self._results.clear()
         self._probes.clear()
 

@@ -42,7 +42,7 @@ from ..core.errors import (
     ServiceOverloadedError,
     ShardUnavailableError,
 )
-from ..core.geometry import Box
+from ..core.geometry import Box, check_finite_object
 from ..obs import trace as _trace
 from ..obs.registry import MetricsRegistry, get_registry
 from ..replog import ReplicationLog
@@ -117,16 +117,19 @@ class ShardedService:
         same budget (the cluster gate is then the binding constraint); tune
         individual shards via ``shard_kwargs``.
     workers:
-        Scatter fan-out pool size; None sizes it to ``min(num_shards, 8)``,
-        0 keeps the fan-out sequential (deterministic, still exact).  The
+        ``None`` (default) hosts every shard in this process; the router
+        scatters to them inline on the calling thread (the probes are pure
+        Python, so a thread pool would only serialize on the GIL).  The
         string ``"process"`` switches every shard member to a
         :class:`~repro.rpc.WorkerClient` — a ``multiprocessing`` child
         hosting the shard service behind the wire protocol of
-        :mod:`repro.rpc` — with the fan-out pool at its default size so
-        round-trips to different workers overlap.  Answers stay
-        bit-identical; ``index_factory`` is rejected (a factory closure
-        cannot cross the process boundary — use the declarative
-        backend/kwargs form).
+        :mod:`repro.rpc` — and, with more than one shard, gives the router
+        a fan-out pool of ``min(num_shards, 8)`` threads so round-trips to
+        different workers overlap (the waiting thread releases the GIL on
+        pipe I/O).  Answers stay bit-identical; ``index_factory`` is
+        rejected (a factory closure cannot cross the process boundary —
+        use the declarative backend/kwargs form).  Any other value raises
+        :class:`ValueError`.
     replicas:
         Synchronous replicas per shard beyond the primary.  Any non-zero
         value (or a ``resilience`` config, or a ``service_wrapper``) turns
@@ -196,7 +199,7 @@ class ShardedService:
         max_inflight: int = 8,
         max_queue: int = 32,
         queue_timeout: Optional[float] = None,
-        workers: Optional[int] = None,
+        workers: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         label: str = "cluster",
         replicas: int = 0,
@@ -210,9 +213,10 @@ class ShardedService:
     ) -> None:
         self.dims = dims
         self.label = label
+        if workers not in (None, "process"):
+            raise ValueError(f'workers must be None or "process", got {workers!r}')
         process_workers = workers == "process"
         if process_workers:
-            workers = None  # fan-out pool reverts to its default sizing
             if index_factory is not None:
                 raise NotSupportedError(
                     "workers='process' cannot ship an index_factory closure "
@@ -357,14 +361,14 @@ class ShardedService:
                 self._shards.append(group)
             else:
                 self._shards.append(members[0])
+        # Only process workers overlap: the parent thread blocks on pipe I/O
+        # with the GIL released.  In-process shards are scattered inline.
         self._executor = None
-        if workers is None:
-            workers = min(num_shards, 8) if num_shards > 1 else 0
-        if workers > 0:
+        if process_workers and num_shards > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
+                max_workers=min(num_shards, 8), thread_name_prefix="repro-shard"
             )
         self._router = ShardRouter(
             self._shards,
@@ -661,6 +665,7 @@ class ShardedService:
 
     def insert(self, box: Box, value: float = 1.0) -> int:
         """Insert one object on its assigned shard; returns the shard id."""
+        check_finite_object(box, value)
         with self._cluster_lock.read():
             self._check_open()
             key = self._ledger_key(box, value)
@@ -687,6 +692,7 @@ class ShardedService:
         additive wherever it lands), at the cost of a transiently negative
         count on that shard.
         """
+        check_finite_object(box, value)
         with self._cluster_lock.read():
             self._check_open()
             key = self._ledger_key(box, value)
@@ -720,6 +726,8 @@ class ShardedService:
         partially loaded cluster.
         """
         pairs = [(box, float(value)) for box, value in objects]
+        for box, value in pairs:
+            check_finite_object(box, value)
         with self._cluster_lock.write():
             self._check_open()
             with self._meta:
@@ -898,8 +906,9 @@ class ShardedService:
         """Catch up every poisoned member, cluster-wide.
 
         Returns ``{shard_id: [revived member ids]}`` for shards where
-        anything changed.  This is the callable to hand a
-        :class:`~repro.replog.CatchUpDaemon`.
+        anything changed.  This is a one-shot operator sweep; the one
+        background repair loop is :class:`~repro.heal.HealSupervisor`
+        (``heal=``), which repairs members as their health demands.
         """
         if not self._groups:
             return {}
@@ -1041,8 +1050,9 @@ class ShardedService:
 
         The cluster gate closes first (new admissions fail with
         :class:`~repro.core.errors.ServiceClosedError`), then already
-        admitted batches drain, then the fan-out pool and every shard
-        service (each draining its own accepted work) shut down.
+        admitted batches drain, then the process-worker fan-out pool (if
+        any) and every shard service (each draining its own accepted work)
+        shut down.
         """
         if self._heal is not None:
             # The supervisor must stop *first*: a repair racing the close

@@ -35,7 +35,7 @@ merges the per-query answers by addition.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from ..core.errors import ServiceOverloadedError, ShardUnavailableError
 from ..core.geometry import Box
@@ -44,7 +44,7 @@ from ..core.values import SumCount, Value
 from ..obs import trace as _trace
 from ..obs.registry import MetricsRegistry, get_registry
 from ..service.planner import BatchPlan, ProbeIdentity
-from ..service.service import ProbeSnapshot, QueryService
+from ..service.service import QueryService
 
 #: Fan-out histogram buckets (shards contacted per batch).
 FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -54,6 +54,8 @@ MERGE_BUCKETS = (0.00001, 0.0001, 0.001, 0.01, 0.05, 0.1, 0.5)
 
 #: (shard, probe) classifications.
 _NEEDED, _PRUNED, _COVERED = 0, 1, 2
+
+_T = TypeVar("_T")
 
 
 class ClusterBatchResult(NamedTuple):
@@ -133,9 +135,12 @@ class ShardRouter:
 
     The router holds no object state of its own — extents arrive with each
     call (the cluster snapshots them under its metadata lock) so the router
-    can also be used standalone over hand-built services.  ``executor`` may
-    be any object with ``map`` (e.g. a ``ThreadPoolExecutor``); without one
-    the fan-out is sequential, which is still exact.
+    can also be used standalone over hand-built services.  Without an
+    ``executor`` the fan-out runs inline on the calling thread — right for
+    in-process shards, whose pure-Python probes a thread pool would only
+    serialize on the GIL.  An ``executor`` (any object with ``map``, e.g. a
+    ``ThreadPoolExecutor``) overlaps shards that block on I/O, such as
+    process workers; the merge order, and so every answer, is the same.
 
     ``allow_partial=True`` turns a shard-level
     :class:`~repro.core.errors.ShardUnavailableError` (a whole replica
@@ -246,7 +251,9 @@ class ShardRouter:
             if shard_needed or shard_covered or not corner:
                 contacted.append(sid)
 
-        snapshots, failed = self._resolve(contacted, needed)
+        snapshots, failed = self._gather(
+            contacted, lambda sid: self.shards[sid].resolve_probe_values(needed[sid])
+        )
 
         merge_start = time.perf_counter()
         zero = reference.zero
@@ -255,10 +262,7 @@ class ShardRouter:
         shard_epochs: Dict[int, int] = {}
         probes_executed = 0
         cache_hits = 0
-        for sid in contacted:
-            if sid in failed:
-                continue
-            snapshot = snapshots[sid]
+        for sid, snapshot in snapshots.items():
             shard_epochs[sid] = snapshot.epoch
             probes_executed += snapshot.probes_executed
             cache_hits += snapshot.probe_cache_hits
@@ -309,7 +313,7 @@ class ShardRouter:
             probes_covered=covered_count,
             probes_executed=probes_executed,
             probe_cache_hits=cache_hits,
-            shards_failed=tuple(sorted(failed)),
+            shards_failed=failed,
         )
 
     @staticmethod
@@ -319,21 +323,23 @@ class ShardRouter:
             return result.total
         return float(result)
 
-    def _resolve(
-        self, contacted: List[int], needed: List[List[ProbeIdentity]]
-    ) -> Tuple[Dict[int, ProbeSnapshot], set]:
-        """Fan the needed identities out to the contacted shards.
+    def _gather(
+        self, contacted: List[int], call: Callable[[int], _T]
+    ) -> Tuple[Dict[int, _T], Tuple[int, ...]]:
+        """Run ``call(sid)`` on every contacted shard and collect the answers.
 
-        Returns the per-shard snapshots plus the set of shards that were
-        unavailable (always empty unless ``allow_partial``; any other shard
-        exception propagates out of the gather, with ``executor.map``
-        re-raising it on iteration — the caller holds no shard locks here,
-        so propagation leaks nothing).
+        Returns the answers keyed by shard id in ascending (contacted)
+        order — the merge order bit-identity relies on — plus the shards
+        that were unavailable (always empty unless ``allow_partial``).  A
+        shed is re-raised naming the shard.  Any other shard exception
+        propagates out of the gather (``executor.map`` re-raises it on
+        iteration); the caller holds no shard locks here, so propagation
+        leaks nothing.
         """
 
-        def run(sid: int) -> Tuple[int, Optional[ProbeSnapshot]]:
+        def run(sid: int) -> Tuple[int, Optional[_T]]:
             try:
-                return sid, self.shards[sid].resolve_probe_values(needed[sid])
+                return sid, call(sid)
             except ShardUnavailableError:
                 if self.allow_partial:
                     return sid, None
@@ -352,8 +358,9 @@ class ShardRouter:
             pairs = list(self._executor.map(run, contacted))
         else:
             pairs = [run(sid) for sid in contacted]
-        failed = {sid for sid, snapshot in pairs if snapshot is None}
-        return {sid: s for sid, s in pairs if s is not None}, failed
+        answers = {sid: answer for sid, answer in pairs if answer is not None}
+        failed = tuple(sid for sid, answer in pairs if answer is None)
+        return answers, failed
 
     # -- monolithic fallback (object backends) ------------------------------------
 
@@ -380,40 +387,16 @@ class ShardRouter:
             if keep:
                 contacted.append(sid)
 
-        def run(sid: int) -> Tuple[int, Optional[List[float]], int]:
-            service = self.shards[sid]
-            try:
-                batch = service.batch([queries[i] for i in relevant[sid]])
-            except ShardUnavailableError:
-                if self.allow_partial:
-                    return sid, None, -1
-                raise
-            except ServiceOverloadedError as exc:
-                if exc.shard is None:
-                    raise ServiceOverloadedError(
-                        f"shard {sid} shed a scatter",
-                        inflight=exc.inflight,
-                        queue_depth=exc.queue_depth,
-                        shard=sid,
-                    ) from exc
-                raise
-            return sid, batch.results, batch.epoch
-
-        if self._executor is not None and len(contacted) > 1:
-            answers = list(self._executor.map(run, contacted))
-        else:
-            answers = [run(sid) for sid in contacted]
+        batches, failed = self._gather(
+            contacted, lambda sid: self.shards[sid].batch([queries[i] for i in relevant[sid]])
+        )
 
         merge_start = time.perf_counter()
         results = [0.0] * len(queries)
         shard_epochs: Dict[int, int] = {}
-        failed: List[int] = []
-        for sid, values, epoch in sorted(answers):
-            if values is None:
-                failed.append(sid)
-                continue
-            shard_epochs[sid] = epoch
-            for i, value in zip(relevant[sid], values):
+        for sid, batch in batches.items():
+            shard_epochs[sid] = batch.epoch
+            for i, value in zip(relevant[sid], batch.results):
                 results[i] += value
         self._m_merge.observe(time.perf_counter() - merge_start, label=self.label)
         self._m_batches.inc(label=self.label)
@@ -431,7 +414,7 @@ class ShardRouter:
             probes_covered=0,
             probes_executed=0,
             probe_cache_hits=0,
-            shards_failed=tuple(failed),
+            shards_failed=failed,
         )
 
 

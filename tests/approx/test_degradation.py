@@ -22,9 +22,7 @@ def _objects(rng, n, dims=2):
 
 def _cluster(**kwargs) -> ShardedService:
     kwargs.setdefault("degrade", "bounded")
-    return ShardedService(
-        2, 4, partitioner="hash", workers=0, registry=MetricsRegistry(), **kwargs
-    )
+    return ShardedService(2, 4, partitioner="hash", registry=MetricsRegistry(), **kwargs)
 
 
 class _Down:
@@ -121,7 +119,6 @@ class TestClusterDegradation:
             2,
             1,
             partitioner="hash",
-            workers=0,
             registry=MetricsRegistry(),
             degrade="bounded",
             approx_policy=policy,

@@ -46,7 +46,6 @@ def _cluster(**kwargs):
         2,
         4,
         partitioner="kd",
-        workers=0,
         registry=MetricsRegistry(),
         label="test-loadgen",
         **kwargs,

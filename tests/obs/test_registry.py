@@ -262,5 +262,65 @@ class TestPercentileEstimation:
             h.observe(v, op="read")
         h.observe(100.0, op="write")
         assert 0.0 < h.percentile(0.5, op="read") <= 2.0
-        assert h.percentile(0.5, op="write") == 4.0  # overflow clamps
+        # The overflow estimate (the top bound, 4.0) lies below the only
+        # observation; the series' observed min lifts it back onto the data.
+        assert h.percentile(0.5, op="write") == 100.0
         assert h.percentile(0.5, op="nope") == 0.0
+
+
+#: Two shapes from a smoke-scale traffic run, where interpolation inside a
+#: wide latency bucket reported a tail above the largest observation:
+#: warmup point p99 4.74 ms with max 3.33 ms (bucket 2-5 ms), and steady
+#: point p999 9.60 ms with max 8.73 ms (bucket 5-10 ms).
+TAIL_ABOVE_MAX_SHAPES = [
+    ([0.4] * 97 + [2.4, 3.0, 3.33], 0.99),
+    ([0.9] * 995 + [5.5, 6.0, 7.1, 8.2, 8.73], 0.999),
+]
+
+
+class TestPercentileClampedToObservations:
+    @pytest.mark.parametrize("samples, q", TAIL_ABOVE_MAX_SHAPES)
+    def test_histogram_tail_never_exceeds_observed_max(self, samples, q):
+        from repro.loadgen.collector import LATENCY_BUCKETS_MS
+        from repro.obs import MetricsRegistry, estimate_percentile
+
+        h = MetricsRegistry().histogram("lat_ms", buckets=LATENCY_BUCKETS_MS)
+        for value in samples:
+            h.observe(value)
+        # The bare interpolation overshoots: this is the shape of the bug.
+        assert estimate_percentile(LATENCY_BUCKETS_MS, h.bucket_counts(), q) > max(samples)
+        assert h.percentile(q) == max(samples)
+        for p in (0.5, 0.95, 0.99, 0.999, 1.0):
+            assert min(samples) <= h.percentile(p) <= max(samples)
+
+    @pytest.mark.parametrize("samples, q", TAIL_ABOVE_MAX_SHAPES)
+    def test_slo_report_tail_never_exceeds_max_ms(self, samples, q):
+        from repro.loadgen import TrafficCollector, smoke_profile
+
+        profile = smoke_profile()
+        phase = profile.phases[0].name
+        collector = TrafficCollector(profile, "virtual")
+        for value in samples:
+            collector.record_ok(phase, "point", value)
+        cell = collector.report(1.0).phases[phase]["ops"]["point"]
+        assert cell["max_ms"] == max(samples)
+        for label in ("p50_ms", "p95_ms", "p99_ms", "p999_ms"):
+            assert min(samples) <= cell[label] <= cell["max_ms"], label
+
+    def test_estimate_is_lifted_to_observed_min(self):
+        from repro.obs import MetricsRegistry
+
+        h = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0, 4.0))
+        for _ in range(10):
+            h.observe(1.9)
+        # Interpolation puts the median at 1.5, below every observation.
+        assert h.percentile(0.5) == 1.9
+
+    def test_clear_forgets_the_extrema(self):
+        from repro.obs import MetricsRegistry
+
+        h = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0, 4.0))
+        h.observe(3.9)
+        h.clear()
+        h.observe(0.2)
+        assert h.percentile(1.0) == 0.2

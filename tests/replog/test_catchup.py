@@ -141,7 +141,6 @@ class TestClusterRecovery:
             2,
             3,
             partitioner="kd",
-            workers=0,
             replicas=1,
             replog_dir=str(tmp_path / "replogs"),
             resilience=ResilienceConfig(max_attempts=3, backoff_base_s=0.0),
@@ -203,58 +202,3 @@ class TestClusterRecovery:
             finally:
                 historical.close()
             assert "head_lsns" in cluster.stats()
-
-
-class TestCatchUpDaemon:
-    """Lifecycle and tick-outcome accounting of the dumb retry loop."""
-
-    def test_stop_is_safe_before_start_and_idempotent(self):
-        from repro.replog import CatchUpDaemon
-
-        daemon = CatchUpDaemon(lambda: {}, interval=0.01, registry=MetricsRegistry())
-        assert daemon.stop()  # never started
-        daemon.start()
-        assert daemon.stop()
-        assert daemon.stop()  # second stop is a no-op
-        # A stopped daemon can be started again.
-        daemon.start()
-        assert daemon.stop()
-
-    def test_double_start_raises(self):
-        from repro.replog import CatchUpDaemon
-
-        daemon = CatchUpDaemon(lambda: {}, interval=5.0, registry=MetricsRegistry())
-        daemon.start()
-        try:
-            with pytest.raises(RuntimeError):
-                daemon.start()
-        finally:
-            assert daemon.stop()
-
-    def test_ticks_labelled_by_outcome(self):
-        import time
-
-        from repro.replog import CatchUpDaemon
-
-        registry = MetricsRegistry()
-        outcomes = iter([{0: "revived"}, {}, RuntimeError("boom")])
-
-        def fn():
-            try:
-                result = next(outcomes)
-            except StopIteration:
-                return {}
-            if isinstance(result, Exception):
-                raise result
-            return result
-
-        with CatchUpDaemon(fn, interval=0.005, registry=registry, label="t") as daemon:
-            deadline = time.time() + 5.0
-            while daemon.ticks < 4 and time.time() < deadline:
-                time.sleep(0.01)
-        assert daemon.ticks >= 4
-        assert daemon.errors == 1
-        text = registry.render()
-        assert 'outcome="ok"' in text
-        assert 'outcome="noop"' in text
-        assert 'outcome="error"' in text

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import threading
-import time
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.core.geometry import Box
 from repro.core.naive import NaiveBoxSum
 from repro.obs import MetricsRegistry
 from repro.replog import (
-    CatchUpDaemon,
     DeleteOp,
     InsertOp,
     LogicalState,
@@ -217,37 +214,3 @@ class TestServiceAttachedLog:
             assert clone.epoch == service.epoch
             service.close()
             clone.close()
-
-
-class TestCatchUpDaemon:
-    def test_daemon_ticks_and_counts_errors(self):
-        calls = []
-        fired = threading.Event()
-
-        def fn():
-            calls.append(1)
-            fired.set()
-            if len(calls) == 1:
-                raise RuntimeError("first tick fails")
-
-        daemon = CatchUpDaemon(fn, interval=0.005, registry=MetricsRegistry())
-        with daemon:
-            assert fired.wait(2.0)
-            deadline = time.monotonic() + 5.0
-            while len(calls) < 3 and time.monotonic() < deadline:
-                time.sleep(0.005)  # a failed tick never kills the loop
-        assert daemon.errors >= 1
-        assert daemon.ticks >= 3
-
-    def test_daemon_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            CatchUpDaemon(lambda: None, interval=0.0)
-
-    def test_daemon_cannot_start_twice(self):
-        daemon = CatchUpDaemon(lambda: None, interval=5.0, registry=MetricsRegistry())
-        daemon.start()
-        try:
-            with pytest.raises(RuntimeError):
-                daemon.start()
-        finally:
-            daemon.stop()

@@ -41,7 +41,6 @@ def _chaotic_pair(backend: str, seed: int = 0, shards: int = 3):
         shards,
         backend=backend,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=chaos_member_wrapper(ChaosPlan(seed=seed, raise_rate=0.4)),
@@ -82,7 +81,6 @@ def _dead_shard_cluster(partial: bool, seed: int = 0):
         2,
         3,
         partitioner="kd",
-        workers=0,
         replicas=1,
         registry=MetricsRegistry(),
         service_wrapper=dead_wrapper,
@@ -145,7 +143,7 @@ class TestReplicatedClusterPlumbing:
         reference = BoxSumIndex(2, backend="ba")
         reference.bulk_load(objects)
         with ShardedService(
-            2, 3, partitioner="kd", workers=0, replicas=2, registry=MetricsRegistry()
+            2, 3, partitioner="kd", replicas=2, registry=MetricsRegistry()
         ) as cluster:
             cluster.bulk_load(objects)
             assert cluster.replicas == 2
@@ -159,7 +157,9 @@ class TestReplicatedClusterPlumbing:
             assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
 
     def test_failover_router_reads_policy_from_config(self):
-        from repro.resilience import FailoverRouter
+        """The plain router scatters over replica groups; the failover
+        policy it needs is ``ResilienceConfig.partial_results``."""
+        from repro.shard import ShardRouter
 
         rng = random.Random(0xF0)
         objects = _exact_objects(rng, 40, 2)
@@ -167,19 +167,18 @@ class TestReplicatedClusterPlumbing:
             2,
             2,
             partitioner="kd",
-            workers=0,
             replicas=1,
             registry=MetricsRegistry(),
             resilience=ResilienceConfig(partial_results=True),
         ) as cluster:
             cluster.bulk_load(objects)
-            router = FailoverRouter(
+            router = ShardRouter(
                 cluster.groups,
-                config=cluster.resilience,
                 registry=MetricsRegistry(),
+                allow_partial=cluster.resilience.partial_results,
             )
             assert router.allow_partial
-            assert router.groups == list(cluster.groups)
+            assert router.shards == list(cluster.groups)
             reference = BoxSumIndex(2, backend="ba")
             reference.bulk_load(objects)
             queries = [random_box(rng, 2, max_side=60.0) for _ in range(6)]

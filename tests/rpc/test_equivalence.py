@@ -124,6 +124,6 @@ def test_process_and_inprocess_transports_are_bit_identical():
             return list(result.results), result.probes_executed
 
     process_answers, process_probes = run("process")
-    inproc_answers, inproc_probes = run(0)
+    inproc_answers, inproc_probes = run(None)
     assert process_answers == inproc_answers
     assert process_probes == inproc_probes

@@ -107,7 +107,7 @@ class TestParallelReaders:
         index.bulk_load(random_objects(rng, 300, 2))
         queries = [random_box(rng, 2) for _ in range(12)]
         expected = [index.box_sum(q) for q in queries]
-        with QueryService(index, workers=4, registry=MetricsRegistry()) as service:
+        with QueryService(index, registry=MetricsRegistry()) as service:
             errors = []
 
             def reader():

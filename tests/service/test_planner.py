@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.core.aggregator import BoxSumIndex
@@ -126,12 +124,3 @@ class TestBatchExecution:
         assert again.probes_executed == 0
         assert again.probe_cache_hits == 4
         assert again.results == execution.results
-
-    def test_executor_path_matches_sequential(self, rng):
-        index = _built_index(rng, "ba")
-        planner = BatchPlanner(index)
-        queries = [random_box(rng, 2) for _ in range(8)]
-        sequential = planner.execute(planner.plan(queries))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = planner.execute(planner.plan(queries), executor=pool)
-        assert threaded.results == sequential.results

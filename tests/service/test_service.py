@@ -58,11 +58,16 @@ class TestCorrectness:
             assert service.box_sum(query) == index.box_sum(query)
 
     def test_worker_pool_matches_sequential(self, rng):
+        """A batch resolves its probes on the calling thread: it starts no
+        thread and matches direct calls bit for bit."""
         index, _oracle, dims = _family_setup(rng, "ba")
         queries = [random_box(rng, dims) for _ in range(12)]
         direct = [index.box_sum(q) for q in queries]
-        with _service(index, workers=3) as service:
+        before = set(threading.enumerate())
+        with _service(index) as service:
             assert service.box_sum_batch(queries) == direct
+            started = [t.name for t in threading.enumerate() if t not in before]
+        assert started == []
 
 
 class TestCaching:

@@ -16,7 +16,6 @@ from ..conftest import random_box
 
 def _cluster(dims=2, shards=3, **kwargs):
     kwargs.setdefault("partitioner", "hash")
-    kwargs.setdefault("workers", 0)
     kwargs.setdefault("registry", MetricsRegistry())
     return ShardedService(dims, shards, **kwargs)
 

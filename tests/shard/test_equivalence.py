@@ -41,7 +41,6 @@ def _pair(backend: str, reduction: str, partitioner: str, shards: int = 3):
         backend=backend,
         reduction=reduction,
         partitioner=partitioner,
-        workers=0,
         registry=MetricsRegistry(),
     )
     return reference, cluster, dims

@@ -1,10 +1,10 @@
 """Regression: a shard exception mid-gather must leak nothing.
 
-A shard blowing up inside the scatter (on the caller's thread or a fan-out
-worker) has to propagate out of ``ShardedService.box_sum`` as-is — and the
-cluster must remain fully usable afterwards: no stuck admission slot, no
-leaked cluster read lock (a rebalance, which needs the write lock, is the
-canary), no wedged executor.
+A shard blowing up inside the scatter (inline on the caller's thread, or on
+the fan-out pool that process workers get) has to propagate out of
+``ShardedService.box_sum`` as-is — and the cluster must remain fully usable
+afterwards: no stuck admission slot, no leaked cluster read lock (a
+rebalance, which needs the write lock, is the canary), no wedged executor.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _assert_cluster_recovers(cluster, reference, rng, dims=2):
     assert cluster.box_sum_batch(queries) == [reference.box_sum(q) for q in queries]
 
 
-@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("workers", [None, "process"])
 def test_probe_path_exception_propagates_cleanly(workers):
     rng = random.Random(0xFA11)
     reference = BoxSumIndex(2, backend="ba")
@@ -75,7 +75,7 @@ def test_probe_path_exception_propagates_cleanly(workers):
         _assert_cluster_recovers(cluster, reference, rng)
 
 
-@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("workers", [None, "process"])
 def test_monolithic_path_exception_propagates_cleanly(workers):
     """Same contract on the object-backend (no probe seam) gather."""
     rng = random.Random(0xFA12)
@@ -106,7 +106,7 @@ def test_shard_admission_slot_is_released_on_gather_failure():
     """The *victim shard's* own gate must not leak either: the exception is
     raised before admission (here), or its finally releases the slot."""
     rng = random.Random(0xFA13)
-    with ShardedService(2, 2, partitioner="kd", workers=0, registry=MetricsRegistry()) as cluster:
+    with ShardedService(2, 2, partitioner="kd", registry=MetricsRegistry()) as cluster:
         cluster.bulk_load(_exact_objects(rng, 40))
         victim = cluster.services[0]
         original = victim.index.probe_value

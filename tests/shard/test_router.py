@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.geometry import Box
@@ -15,7 +17,6 @@ def _cluster(dims=2, shards=2, **kwargs):
     from repro.obs import MetricsRegistry
 
     kwargs.setdefault("partitioner", "roundrobin")
-    kwargs.setdefault("workers", 0)
     kwargs.setdefault("registry", MetricsRegistry())
     return ShardedService(dims, shards, **kwargs)
 
@@ -121,23 +122,39 @@ class TestScatterShortcuts:
 
 
 class TestThreadedScatter:
-    @pytest.mark.parametrize("workers", [0, 3])
+    @pytest.mark.parametrize("workers", [None, "process"])
     def test_workers_do_not_change_answers(self, rng, workers):
         objects = [(random_box(rng, 2), float(rng.randint(1, 9))) for _ in range(80)]
         queries = [random_box(rng, 2, max_side=50.0) for _ in range(12)]
-        with _cluster(partitioner="kd", workers=0) as reference:
+        with _cluster(partitioner="kd") as reference:
             reference.bulk_load(objects)
             expect = reference.box_sum_batch(queries)
         with _cluster(partitioner="kd", workers=workers) as cluster:
             cluster.bulk_load(objects)
             assert cluster.box_sum_batch(queries) == expect
 
+    def test_in_process_scatter_starts_no_threads(self, rng):
+        objects = [(random_box(rng, 2), float(rng.randint(1, 9))) for _ in range(80)]
+        queries = [random_box(rng, 2, max_side=50.0) for _ in range(12)]
+        before = set(threading.enumerate())
+        with _cluster(shards=4, partitioner="kd") as cluster:
+            cluster.bulk_load(objects)
+            result = cluster.batch(queries)
+            started = [t.name for t in threading.enumerate() if t not in before]
+        assert result.shards_contacted > 1
+        assert started == []
+
+    @pytest.mark.parametrize("workers", [0, 2, "thread"])
+    def test_other_worker_values_are_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            _cluster(workers=workers)
+
 
 class TestMonolithicFallback:
     def test_object_backend_routes_through_batch(self, rng):
         objects = [(random_box(rng, 2), float(rng.randint(1, 9))) for _ in range(60)]
         queries = [random_box(rng, 2, max_side=60.0) for _ in range(8)]
-        with _cluster(backend="ar", workers=0) as cluster:
+        with _cluster(backend="ar") as cluster:
             cluster.bulk_load(objects)
             from repro.core.naive import NaiveBoxSum
 
